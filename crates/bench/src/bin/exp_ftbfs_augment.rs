@@ -216,7 +216,7 @@ fn main() {
         "\nReading guide: both engines serve the same covered batches \
          (|F| <= 2, at most one vertex fault). The plain engine answers \
          every set outside the seed paper's single-edge guarantee with a \
-         full-graph BFS (`G` tier); the augmented engine replaces those \
+         row repaired over the full graph (`G` tier); the augmented engine replaces those \
          rows with sparse searches over H+ (`H+` tier) — the speedup \
          column is the serving-latency price the fallback was paying. \
          Dual *vertex* faults stay on the fallback by design (ROADMAP \

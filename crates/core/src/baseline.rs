@@ -122,34 +122,6 @@ pub(crate) fn build_reinforced_tree_impl(
     FtBfsStructure::new(source, 0.0, edges, reinforced, stats)
 }
 
-/// Build the ESA'13 baseline, panicking on invalid input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `BaselineBuilder` (or `try_build_baseline_ftbfs`) which \
-            reports invalid input as `FtbfsError` instead of panicking"
-)]
-pub fn build_baseline_ftbfs(
-    graph: &Graph,
-    source: VertexId,
-    config: &BuildConfig,
-) -> FtBfsStructure {
-    try_build_baseline_ftbfs(graph, source, config).expect("invalid FT-BFS construction input")
-}
-
-/// Build the reinforced BFS tree, panicking on invalid input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ReinforcedTreeBuilder` (or `try_build_reinforced_tree`) \
-            which reports invalid input as `FtbfsError` instead of panicking"
-)]
-pub fn build_reinforced_tree(
-    graph: &Graph,
-    source: VertexId,
-    config: &BuildConfig,
-) -> FtBfsStructure {
-    try_build_reinforced_tree(graph, source, config).expect("invalid FT-BFS construction input")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,14 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn checked_and_deprecated_entry_points_agree() {
+    fn checked_entry_points_reject_bad_sources() {
         let g = generators::grid(4, 5);
         let config = BuildConfig::new(1.0).serial();
-        let a = try_build_baseline_ftbfs(&g, VertexId(0), &config).expect("valid input");
-        #[allow(deprecated)]
-        let b = build_baseline_ftbfs(&g, VertexId(0), &config);
-        assert_eq!(a.num_edges(), b.num_edges());
-
         let bad = try_build_baseline_ftbfs(&g, VertexId(1000), &config);
         assert!(matches!(bad, Err(FtbfsError::SourceOutOfRange { .. })));
         let bad = try_build_reinforced_tree(&g, VertexId(1000), &config);

@@ -2,11 +2,12 @@
 
 use super::core::EngineCore;
 use super::obs::EngineObs;
-use super::{bfs_sweep, finite, ParentEntry, QueryStats, SweepScratch, Tier, TierCounters};
+use super::repair::{RepairScratch, Settle};
+use super::{bfs_sweep, finite, QueryStats, SweepScratch, Tier, TierCounters};
 use crate::error::FtbfsError;
-use ftb_graph::{CompactSubgraph, EdgeId, Fault, FaultSet, VertexId};
+use ftb_graph::{EdgeId, FaultSet, VertexId};
 use ftb_obs::Span;
-use ftb_sp::{Path, TimestampedVector, UNREACHABLE};
+use ftb_sp::{Path, UNREACHABLE};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,17 +35,6 @@ pub(super) enum RowSlot {
     Cached(usize),
 }
 
-/// [`RepairScratch::marks`] value: inside a failed subtree (entry reset,
-/// distance to be recomputed by the bounded BFS).
-const MARK_AFFECTED: u8 = 1;
-/// [`RepairScratch::marks`] value: unaffected boundary vertex already
-/// collected (seed dedup).
-const MARK_BOUNDARY: u8 = 2;
-/// [`RepairScratch::marks`] value: affected vertex *requested* by a
-/// one-to-many query — the target-restricted sweep stops once every such
-/// vertex is settled.
-const MARK_TARGET: u8 = 3;
-
 /// Crossover denominator of the target-restricted repair sweep: a
 /// one-to-many cache miss runs restricted (settle only the requested
 /// affected targets, skip the `O(n)` row materialisation, cache nothing)
@@ -63,262 +53,6 @@ const RESTRICTED_SWEEP_RATIO: usize = 8;
 /// costs more than the classification itself, so each key binary-searches
 /// the merged intervals directly (`O(t log |F|)`, no sort).
 const SORTED_CLASSIFY_MAX_TARGETS: usize = 64;
-
-/// Reusable state of the incremental row repair (all cleared in `O(1)` or
-/// proportional to the previous repair's size — nothing here is `O(n)` per
-/// miss).
-#[derive(Clone, Debug)]
-struct RepairScratch {
-    /// `0` untouched, [`MARK_AFFECTED`], or [`MARK_BOUNDARY`];
-    /// generation-stamped so clearing is an epoch bump.
-    marks: TimestampedVector<u8>,
-    /// Unaffected boundary vertices seeding the bounded BFS, keyed by their
-    /// (unchanged) fault-free distance.
-    seeds: Vec<(u32, VertexId)>,
-    /// Unaffected endpoints of banned edges: their *adjacency* changed even
-    /// though their distance did not, so only their canonical parent is
-    /// recomputed.
-    fixups: Vec<VertexId>,
-    /// Merged preorder intervals of the affected subtrees (into the slot
-    /// tree's order array).
-    intervals: Vec<(u32, u32)>,
-    /// Level-synchronous BFS frontiers.
-    frontier: Vec<VertexId>,
-    next: Vec<VertexId>,
-    /// Post-failure distances of the *target-restricted* sweep, which
-    /// settles requested affected targets without materialising a row;
-    /// generation-stamped so each restricted sweep starts clean in `O(1)`.
-    rdist: TimestampedVector<u32>,
-}
-
-impl RepairScratch {
-    fn new(num_vertices: usize) -> Self {
-        RepairScratch {
-            marks: TimestampedVector::new(num_vertices, 0),
-            seeds: Vec::new(),
-            fixups: Vec::new(),
-            intervals: Vec::new(),
-            frontier: Vec::new(),
-            next: Vec::new(),
-            rdist: TimestampedVector::new(num_vertices, UNREACHABLE),
-        }
-    }
-
-    /// Repair `row_dist`/`row_parent` — pre-filled with the serving CSR's
-    /// fault-free rows — in place, given the merged affected
-    /// [`RepairScratch::intervals`] and the banned-edge endpoint
-    /// [`RepairScratch::fixups`] already collected.
-    ///
-    /// `neighbors` must yield exactly the post-failure adjacency the full
-    /// sweep would traverse (same order, same filters, parent-graph edge
-    /// ids). Four bounded passes:
-    ///
-    /// 1. mark every vertex inside an affected interval,
-    /// 2. reset their entries and collect the *unaffected boundary* (their
-    ///    neighbors outside the region) as BFS seeds at fault-free depth,
-    /// 3. run a level-synchronous BFS from the boundary that only ever
-    ///    discovers affected vertices — unaffected distances are already
-    ///    final, which is exactly why seeding them at `dist0` is sound,
-    /// 4. recompute canonical parents (first adjacency neighbor one level
-    ///    up, the same pure-function-of-distances rule the full sweep
-    ///    applies) for every vertex whose distance or adjacency changed:
-    ///    the affected region, the boundary, and the banned-edge endpoints.
-    ///
-    /// Total cost is `O(vol(affected) + boundary·deg)` — the full sweep's
-    /// `O(n + m)` only in the degenerate all-affected case.
-    fn repair_region<I, F>(
-        &mut self,
-        order: &[VertexId],
-        dist0: &[u32],
-        row_dist: &mut [u32],
-        row_parent: &mut [ParentEntry],
-        neighbors: F,
-    ) where
-        I: Iterator<Item = (VertexId, EdgeId)>,
-        F: Fn(VertexId) -> I,
-    {
-        self.marks.reset();
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                self.marks.set(v.index(), MARK_AFFECTED);
-            }
-        }
-        self.seeds.clear();
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                row_dist[v.index()] = UNREACHABLE;
-                row_parent[v.index()] = None;
-                for (w, _) in neighbors(v) {
-                    if self.marks.get(w.index()) == 0 {
-                        self.marks.set(w.index(), MARK_BOUNDARY);
-                        if dist0[w.index()] != UNREACHABLE {
-                            self.seeds.push((dist0[w.index()], w));
-                        }
-                    }
-                }
-            }
-        }
-        // Bounded multi-source BFS: seeds enter the frontier exactly at
-        // their fault-free level (sound because every root-to-boundary
-        // prefix of a post-failure shortest path can be replaced by the
-        // boundary vertex's surviving tree path of length dist0).
-        self.seeds.sort_unstable();
-        self.frontier.clear();
-        self.next.clear();
-        let mut si = 0usize;
-        let mut level = 0u32;
-        while si < self.seeds.len() || !self.frontier.is_empty() {
-            if self.frontier.is_empty() {
-                level = level.max(self.seeds[si].0);
-            }
-            while si < self.seeds.len() && self.seeds[si].0 == level {
-                self.frontier.push(self.seeds[si].1);
-                si += 1;
-            }
-            for fi in 0..self.frontier.len() {
-                let u = self.frontier[fi];
-                for (w, _) in neighbors(u) {
-                    if self.marks.get(w.index()) == MARK_AFFECTED
-                        && row_dist[w.index()] == UNREACHABLE
-                    {
-                        row_dist[w.index()] = level + 1;
-                        self.next.push(w);
-                    }
-                }
-            }
-            self.frontier.clear();
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            level += 1;
-        }
-        // Canonical parents from the (now final) distances.
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                if row_dist[v.index()] != UNREACHABLE {
-                    row_parent[v.index()] = canonical_parent(v, row_dist, &neighbors);
-                }
-            }
-        }
-        for &(_, u) in &self.seeds {
-            row_parent[u.index()] = canonical_parent(u, row_dist, &neighbors);
-        }
-        for i in 0..self.fixups.len() {
-            let v = self.fixups[i];
-            if self.marks.get(v.index()) == 0 && row_dist[v.index()] != UNREACHABLE {
-                row_parent[v.index()] = canonical_parent(v, row_dist, &neighbors);
-            }
-        }
-    }
-
-    /// Target-restricted repair sweep (the RPHAST-style restriction of
-    /// [`RepairScratch::repair_region`]): compute post-failure distances for
-    /// only the requested affected `targets`, without materialising a row.
-    ///
-    /// Same structure as the repair — mark the affected
-    /// [`RepairScratch::intervals`], collect the unaffected boundary as
-    /// seeds at fault-free depth, run the bounded level-synchronous BFS —
-    /// except that nothing is copied or reset (`O(n)` memcpy avoided, no
-    /// parent fixups) and the BFS **stops as soon as every marked target is
-    /// settled**: a level-synchronous BFS distance is final at assignment,
-    /// so the early exit cannot change any answer. Afterwards
-    /// [`RepairScratch::rdist`] holds each target's post-failure distance
-    /// (`UNREACHABLE` = disconnected).
-    ///
-    /// `neighbors` must yield exactly the post-failure adjacency the full
-    /// sweep would traverse, so the settled distances are byte-identical to
-    /// the distances a repaired (or fully swept) row would contain.
-    fn restricted_sweep<I, F, T>(
-        &mut self,
-        order: &[VertexId],
-        dist0: &[u32],
-        targets: T,
-        neighbors: F,
-    ) where
-        I: Iterator<Item = (VertexId, EdgeId)>,
-        F: Fn(VertexId) -> I,
-        T: Iterator<Item = VertexId>,
-    {
-        self.marks.reset();
-        self.rdist.reset();
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                self.marks.set(v.index(), MARK_AFFECTED);
-            }
-        }
-        let mut remaining = 0usize;
-        for t in targets {
-            // Duplicate targets are marked (and counted) once.
-            if self.marks.get(t.index()) == MARK_AFFECTED {
-                self.marks.set(t.index(), MARK_TARGET);
-                remaining += 1;
-            }
-        }
-        self.seeds.clear();
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                for (w, _) in neighbors(v) {
-                    if self.marks.get(w.index()) == 0 {
-                        self.marks.set(w.index(), MARK_BOUNDARY);
-                        if dist0[w.index()] != UNREACHABLE {
-                            self.seeds.push((dist0[w.index()], w));
-                        }
-                    }
-                }
-            }
-        }
-        self.seeds.sort_unstable();
-        self.frontier.clear();
-        self.next.clear();
-        let mut si = 0usize;
-        let mut level = 0u32;
-        while remaining > 0 && (si < self.seeds.len() || !self.frontier.is_empty()) {
-            if self.frontier.is_empty() {
-                level = level.max(self.seeds[si].0);
-            }
-            while si < self.seeds.len() && self.seeds[si].0 == level {
-                self.frontier.push(self.seeds[si].1);
-                si += 1;
-            }
-            for fi in 0..self.frontier.len() {
-                let u = self.frontier[fi];
-                for (w, _) in neighbors(u) {
-                    let mark = self.marks.get(w.index());
-                    if mark >= MARK_AFFECTED
-                        && mark != MARK_BOUNDARY
-                        && self.rdist.get(w.index()) == UNREACHABLE
-                    {
-                        self.rdist.set(w.index(), level + 1);
-                        if mark == MARK_TARGET {
-                            remaining -= 1;
-                        }
-                        self.next.push(w);
-                    }
-                }
-            }
-            self.frontier.clear();
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            level += 1;
-        }
-    }
-}
-
-/// The canonical-parent rule shared with [`bfs_sweep`]: the first neighbor
-/// `(w, e)` in `v`'s (filtered) adjacency order with
-/// `dist(w) + 1 == dist(v)` — a pure function of the final distance row, so
-/// repaired and fully-swept rows agree byte for byte.
-fn canonical_parent<I, F>(v: VertexId, dist: &[u32], neighbors: &F) -> ParentEntry
-where
-    I: Iterator<Item = (VertexId, EdgeId)>,
-    F: Fn(VertexId) -> I,
-{
-    let d = dist[v.index()];
-    if d == 0 || d == UNREACHABLE {
-        return None;
-    }
-    neighbors(v).find(|&(w, _)| {
-        let dw = dist[w.index()];
-        dw != UNREACHABLE && dw + 1 == d
-    })
-}
 
 /// Attribute one observed entry-point window across the tiers that
 /// answered during it: each tier histogram receives `elapsed / total`
@@ -347,40 +81,6 @@ fn record_tier_latency(obs: &EngineObs, delta: &TierCounters, elapsed: u64) {
     }
     if delta.unaffected_fast_path as u64 == total {
         obs.stage_unaffected_fast_path.record(elapsed);
-    }
-}
-
-/// Inline banned-edge probe for the augmented sweep. The coverage contract
-/// admits at most [`FaultSet::INLINE_CAPACITY`] (= 2) simultaneous faults,
-/// so membership is two register compares instead of a per-miss heap `Vec`
-/// and a linear `contains` per neighbor.
-#[derive(Clone, Copy, Debug)]
-struct BannedEdges([Option<EdgeId>; FaultSet::INLINE_CAPACITY]);
-
-impl BannedEdges {
-    /// Translate the fault set's edges into compact ids of `csr` (edges
-    /// outside the CSR need no banning — they are not traversed anyway).
-    fn collect(faults: &FaultSet, csr: &CompactSubgraph) -> Self {
-        let mut banned = [None; FaultSet::INLINE_CAPACITY];
-        let mut n = 0usize;
-        for e in faults.edges() {
-            if let Some(ce) = csr.compact_edge(e) {
-                assert!(
-                    n < banned.len(),
-                    "augmented coverage admits at most {} faults",
-                    banned.len()
-                );
-                banned[n] = Some(ce);
-                n += 1;
-            }
-        }
-        BannedEdges(banned)
-    }
-
-    #[inline]
-    fn contains(&self, ce: EdgeId) -> bool {
-        // Two slots: the compiler unrolls this into two compares.
-        self.0.contains(&Some(ce))
     }
 }
 
@@ -895,66 +595,28 @@ impl QueryContext {
         }
         let source = core.sources()[slot];
         let restricted = affected.len() * RESTRICTED_SWEEP_RATIO <= affected_size
-            && !faults.contains(Fault::Vertex(source));
+            && !faults.contains_vertex(source);
         if restricted {
             // Few targets inside a large affected set: settle exactly the
             // requested ones, skip the row materialisation, cache nothing.
             self.count_tier_many(tier, affected.len());
             self.stats.restricted_repairs += 1;
             let sweep_span = obs.as_ref().map(|o| Span::enter(&o.stage_restricted_sweep));
-            let order = core.slot_tree(slot).euler.order();
-            let wanted = affected.iter().map(|&i| targets[i as usize]);
-            match tier {
-                Tier::SparseH => {
-                    let e = faults.as_single_edge().expect("SparseH is single-edge");
-                    let h = &core.h;
-                    let banned_compact = h.compact_edge(e);
-                    let neighbors = |u: VertexId| {
-                        h.graph()
-                            .neighbors(u)
-                            .filter(move |&(_, he)| Some(he) != banned_compact)
-                            .map(|(w, he)| (w, h.parent_edge(he)))
-                    };
-                    self.repair
-                        .restricted_sweep(order, dist0, wanted, neighbors);
-                    self.stats.structure_bfs_runs += 1;
-                }
-                Tier::Augmented => {
-                    let banned = faults.as_slice();
-                    let aug = core.aug.as_ref().expect("Augmented tier has a CSR");
-                    let csr = &aug.csr;
-                    let banned_compact = BannedEdges::collect(faults, csr);
-                    let neighbors = |u: VertexId| {
-                        csr.graph()
-                            .neighbors(u)
-                            .filter(move |&(w, ce)| {
-                                !banned_compact.contains(ce) && !banned.contains(&Fault::Vertex(w))
-                            })
-                            .map(|(w, ce)| (w, csr.parent_edge(ce)))
-                    };
-                    self.repair
-                        .restricted_sweep(order, dist0, wanted, neighbors);
-                    self.stats.augmented_bfs_runs += 1;
-                }
-                Tier::FullGraph => {
-                    let banned = faults.as_slice();
-                    let graph = core.graph();
-                    let neighbors = |u: VertexId| {
-                        graph.neighbors(u).filter(move |&(w, ge)| {
-                            !banned.contains(&Fault::Edge(ge))
-                                && !banned.contains(&Fault::Vertex(w))
-                        })
-                    };
-                    self.repair
-                        .restricted_sweep(order, dist0, wanted, neighbors);
-                    self.stats.full_graph_bfs_runs += 1;
-                }
-                Tier::FaultFree => unreachable!("handled above"),
-            }
+            let adj = core.tier_adjacency(slot, tier, faults);
+            self.repair.bounded_bfs(
+                core.slot_tree(slot).euler.order(),
+                dist0,
+                &adj,
+                Settle::Targets {
+                    targets,
+                    picks: &affected,
+                },
+            );
+            self.count_sweep(tier);
             drop(sweep_span);
             for &i in &affected {
                 let v = targets[i as usize];
-                out[i as usize] = finite(self.repair.rdist.get(v.index()));
+                out[i as usize] = finite(self.repair.settled(v));
             }
         } else {
             // Dense affected set: one ordinary row materialisation (repair
@@ -1082,14 +744,14 @@ impl QueryContext {
     ///
     /// Every call attributes the query to exactly one routing tier (see
     /// [`TierCounters`](super::TierCounters)); the per-CSR sweep counters
-    /// only move when a search actually runs. A cache miss on the
-    /// `sparse_h_bfs` / `augmented_bfs` tiers takes the **incremental
-    /// repair** path (unless [`EngineOptions::force_full_sweep`](super::EngineOptions)):
-    /// the row starts as a copy of the tier's fault-free rows, only the
-    /// affected subtrees are re-swept by a bounded BFS seeded from their
-    /// unaffected boundary, and canonical parents are patched where the
-    /// distances or the adjacency changed — byte-identical to the full
-    /// sweep, at a fraction of its cost.
+    /// only move when a search actually runs. A cache miss on any tier
+    /// takes the **incremental repair** path (unless
+    /// [`EngineOptions::force_full_sweep`](super::EngineOptions)) over the
+    /// tier's adjacency: the row starts as a copy of the tier's fault-free
+    /// rows, only the affected subtrees are re-swept by a bounded BFS seeded
+    /// from their unaffected boundary, and canonical parents are patched
+    /// where the distances or the adjacency changed — byte-identical to the
+    /// full sweep, at a fraction of its cost.
     fn ensure_row(
         &mut self,
         core: &EngineCore,
@@ -1134,133 +796,53 @@ impl QueryContext {
         let source = core.sources()[slot];
         let obs = self.stage_obs();
         let row = &mut self.rows[i];
-        let repairable = !core.options().force_full_sweep;
-        // The banned-element filters below scan the canonical fault slice:
-        // at most `max_faults` entries, so membership is a short linear
-        // scan, cheaper than any hashing at these sizes.
-        let banned = faults.as_slice();
-        if banned.contains(&Fault::Vertex(source)) {
+        if faults.contains_vertex(source) {
             // The source itself failed: nothing is reachable (matching
             // `bfs_distances_view` over a masked source). No search runs,
             // so no sweep is counted.
             row.dist.fill(UNREACHABLE);
             row.parent.fill(None);
         } else {
-            match tier {
-                Tier::SparseH => {
-                    // The seed paper's regime: one non-reinforced structure
-                    // edge. The FT-BFS guarantee makes a BFS over the
-                    // compact CSR of H ∖ {e} exact.
-                    let e = faults.as_single_edge().expect("SparseH is single-edge");
-                    let h = &core.h;
-                    let banned_compact = h.compact_edge(e);
-                    let neighbors = |u: VertexId| {
-                        h.graph()
-                            .neighbors(u)
-                            .filter(move |&(_, he)| Some(he) != banned_compact)
-                            .map(|(w, he)| (w, h.parent_edge(he)))
-                    };
-                    if repairable {
-                        let (dist0, parent0) = core.fault_free_row(slot);
-                        core.affected_intervals(slot, faults, &mut self.repair.intervals);
-                        self.repair.fixups.clear();
-                        if h.contains_parent_edge(e) {
-                            let edge = core.graph().edge(e);
-                            self.repair.fixups.push(edge.u);
-                            self.repair.fixups.push(edge.v);
-                        }
-                        row.dist.copy_from_slice(dist0);
-                        row.parent.copy_from_slice(parent0);
-                        let span = obs.as_ref().map(|o| Span::enter(&o.stage_row_repair));
-                        self.repair.repair_region(
-                            core.slot_tree(slot).euler.order(),
-                            dist0,
-                            &mut row.dist,
-                            &mut row.parent,
-                            neighbors,
-                        );
-                        drop(span);
-                        self.stats.repaired_rows += 1;
-                    } else {
-                        let span = obs.as_ref().map(|o| Span::enter(&o.stage_full_sweep));
-                        bfs_sweep(source, &mut self.scratch, neighbors);
-                        self.scratch.materialize(&mut row.dist, &mut row.parent);
-                        drop(span);
-                    }
-                    self.stats.structure_bfs_runs += 1;
-                }
-                Tier::Augmented => {
-                    // The fault set is inside the augmented structure's
-                    // coverage: a BFS over H⁺ ∖ F is exact by the
-                    // replacement-path construction (see `crate::ftbfs`).
-                    // The ≤ 2 banned edges are translated to compact ids
-                    // once into an inline probe, so the sweep compares
-                    // compact ids directly and only translates the edges it
-                    // records as parents.
-                    let aug = core.aug.as_ref().expect("Augmented tier has a CSR");
-                    let csr = &aug.csr;
-                    let banned_compact = BannedEdges::collect(faults, csr);
-                    let neighbors = |u: VertexId| {
-                        csr.graph()
-                            .neighbors(u)
-                            .filter(move |&(w, ce)| {
-                                !banned_compact.contains(ce) && !banned.contains(&Fault::Vertex(w))
-                            })
-                            .map(|(w, ce)| (w, csr.parent_edge(ce)))
-                    };
-                    if repairable {
-                        let (dist0, _) = core.fault_free_row(slot);
-                        let parent0 = &aug.fault_free_parent[slot];
-                        core.affected_intervals(slot, faults, &mut self.repair.intervals);
-                        self.repair.fixups.clear();
-                        for e in faults.edges().filter(|&e| csr.contains_parent_edge(e)) {
-                            let edge = core.graph().edge(e);
-                            self.repair.fixups.push(edge.u);
-                            self.repair.fixups.push(edge.v);
-                        }
-                        row.dist.copy_from_slice(dist0);
-                        row.parent.copy_from_slice(parent0);
-                        let span = obs.as_ref().map(|o| Span::enter(&o.stage_row_repair));
-                        self.repair.repair_region(
-                            core.slot_tree(slot).euler.order(),
-                            dist0,
-                            &mut row.dist,
-                            &mut row.parent,
-                            neighbors,
-                        );
-                        drop(span);
-                        self.stats.repaired_rows += 1;
-                    } else {
-                        let span = obs.as_ref().map(|o| Span::enter(&o.stage_full_sweep));
-                        bfs_sweep(source, &mut self.scratch, neighbors);
-                        self.scratch.materialize(&mut row.dist, &mut row.parent);
-                        drop(span);
-                    }
-                    self.stats.augmented_bfs_runs += 1;
-                }
-                Tier::FullGraph => {
-                    // Everything beyond the sparse guarantees stays exact
-                    // with one BFS over the full graph G ∖ F.
-                    let graph = core.graph();
-                    let span = obs.as_ref().map(|o| Span::enter(&o.stage_full_sweep));
-                    bfs_sweep(source, &mut self.scratch, |u| {
-                        graph.neighbors(u).filter(move |&(w, ge)| {
-                            !banned.contains(&Fault::Edge(ge))
-                                && !banned.contains(&Fault::Vertex(w))
-                        })
-                    });
-                    self.scratch.materialize(&mut row.dist, &mut row.parent);
-                    drop(span);
-                    self.stats.full_graph_bfs_runs += 1;
-                }
-                Tier::FaultFree => unreachable!("handled above"),
+            // Every tier is exact over its own adjacency: `H ∖ {e}` by the
+            // FT-BFS guarantee, `H⁺ ∖ F` by the replacement-path
+            // construction (see `crate::ftbfs`), and `G ∖ F` trivially.
+            let adj = core.tier_adjacency(slot, tier, faults);
+            if core.options().force_full_sweep {
+                let span = obs.as_ref().map(|o| Span::enter(&o.stage_full_sweep));
+                bfs_sweep(source, &mut self.scratch, |u| adj.neighbors(u));
+                self.scratch.materialize(&mut row.dist, &mut row.parent);
+                drop(span);
+            } else {
+                core.affected_intervals(slot, faults, &mut self.repair.intervals);
+                let span = obs.as_ref().map(|o| Span::enter(&o.stage_row_repair));
+                self.repair.repair_row(
+                    core.slot_tree(slot).euler.order(),
+                    core.fault_free_row(slot).0,
+                    &adj,
+                    &mut row.dist,
+                    &mut row.parent,
+                );
+                drop(span);
+                self.stats.repaired_rows += 1;
             }
+            self.count_sweep(tier);
         }
         let row = &mut self.rows[i];
         row.source_slot = key_slot;
         row.faults = faults.clone();
         row.last_used = self.clock;
         RowSlot::Cached(i)
+    }
+
+    /// Count one search (repair, restricted sweep or full sweep) over
+    /// `tier`'s adjacency.
+    fn count_sweep(&mut self, tier: Tier) {
+        match tier {
+            Tier::SparseH => self.stats.structure_bfs_runs += 1,
+            Tier::Augmented => self.stats.augmented_bfs_runs += 1,
+            Tier::FullGraph => self.stats.full_graph_bfs_runs += 1,
+            Tier::FaultFree => {}
+        }
     }
 
     fn count_tier(&mut self, tier: Tier) {

@@ -2,6 +2,7 @@
 //! construction-time options.
 
 use super::context::QueryContext;
+use super::repair::TierAdjacency;
 use super::{ParentEntry, SweepScratch, Tier};
 use crate::error::FtbfsError;
 use crate::ftbfs::{AugmentCoverage, AugmentedStructure};
@@ -50,10 +51,11 @@ pub struct EngineOptions {
     /// answers the whole batch on the calling thread.
     pub parallel: ParallelConfig,
     /// Maximum fault-set size (`|F|`) the engine accepts; larger sets are
-    /// rejected with [`FtbfsError::FaultSetTooLarge`]. Answering a set that
-    /// is not a single non-reinforced structure edge costs one BFS over the
-    /// full graph (see the [module docs](super)), so the cap bounds the
-    /// worst-case per-row work a caller can trigger. Minimum 1.
+    /// rejected with [`FtbfsError::FaultSetTooLarge`]. A row miss costs a
+    /// bounded BFS over the subtrees the faults cut off (see the
+    /// [module docs](super)), and each fault can add a subtree and scans
+    /// the fault set once per traversed edge, so the cap bounds the
+    /// per-row work a caller can trigger. Minimum 1.
     pub max_faults: usize,
     /// Disable the incremental row repair and the unaffected-target fast
     /// path: every cache miss runs a full CSR sweep and every query
@@ -72,8 +74,9 @@ impl EngineOptions {
 
     /// Default fault cap: dual failures, matching the richest regime with
     /// dedicated structures in the literature (Parter 2015). Raising it is
-    /// safe — larger sets are answered by recomputed BFS — but each extra
-    /// fault widens the space of distinct rows the LRU has to absorb.
+    /// safe — larger sets are answered exactly over `G ∖ F`, repaired from
+    /// the fault-free row like every other miss — but each extra fault
+    /// widens the space of distinct rows the LRU has to absorb.
     pub const DEFAULT_MAX_FAULTS: usize = 2;
 
     /// Default options: [`Self::DEFAULT_LRU_ROWS`] rows, the default
@@ -228,8 +231,9 @@ pub struct EngineCore {
     /// Canonical fault-free *parent* rows relative to the **full graph**
     /// adjacency, one per slot. Distances equal the shared fault-free rows;
     /// only the canonical-parent selection differs (it is
-    /// adjacency-order-relative). The `full_graph_bfs` tier's path fast
-    /// path extracts unaffected parent chains from these.
+    /// adjacency-order-relative). The `full_graph_bfs` tier's row repair
+    /// starts from these, and its path fast path extracts unaffected parent
+    /// chains from them.
     pub(super) full_parent: Vec<Vec<ParentEntry>>,
     /// Fault-free tree indices, one per source slot (same order).
     pub(super) trees: Vec<SlotTree>,
@@ -544,6 +548,29 @@ impl EngineCore {
                 &aug.fault_free_parent[slot]
             }
             Tier::FullGraph => &self.full_parent[slot],
+        }
+    }
+
+    /// The post-failure adjacency `tier` serves `faults` over — `H ∖ {e}`,
+    /// `H⁺ ∖ F` or `G ∖ F` — with the tier's canonical fault-free parent row
+    /// ([`EngineCore::tier_parent_row`]). Every search of every tier
+    /// traverses this one value.
+    pub(super) fn tier_adjacency<'a>(
+        &'a self,
+        slot: usize,
+        tier: Tier,
+        faults: &'a FaultSet,
+    ) -> TierAdjacency<'a> {
+        let csr = match tier {
+            Tier::FaultFree | Tier::SparseH => Some(&self.h),
+            Tier::Augmented => Some(&self.aug.as_ref().expect("augmented tier requires aug").csr),
+            Tier::FullGraph => None,
+        };
+        TierAdjacency {
+            graph: &self.graph,
+            csr,
+            faults: faults.as_slice(),
+            parent0: self.tier_parent_row(slot, tier),
         }
     }
 

@@ -175,9 +175,9 @@ impl<'g> FaultQueryEngine<'g> {
     /// Returns `Ok(None)` when the faults disconnect `v` — in particular
     /// whenever `F` contains `v` itself or the source. A set that is exactly
     /// one non-reinforced structure edge is served by the paper's sparse
-    /// structure; every other set is answered exactly by a recomputed BFS
-    /// over `G ∖ F` (see the [module docs](super) for the complexity
-    /// caveat).
+    /// structure; every other set is answered exactly over `G ∖ F`, by the
+    /// augmented tier or a row repaired over the full graph (see the
+    /// [module docs](super)).
     ///
     /// # Errors
     ///

@@ -61,9 +61,11 @@
 //!   hypotheticals): one BFS over the compact CSR of `H⁺ ∖ F`, exact by the
 //!   replacement-path construction (see the [`ftbfs`](crate::ftbfs) docs).
 //! * **`full_graph_bfs`** — everything else (`|F| ≥ 3`, two simultaneous
-//!   vertex faults, or a build without the needed augmentation): one exact
-//!   recomputed BFS over the full graph `G ∖ F`, costing `O(n + m)` rather
-//!   than `O(|H⁺|)` per miss.
+//!   vertex faults, a reinforced edge, or a build without the needed
+//!   augmentation): the row over the full graph `G ∖ F`, exact by
+//!   definition. Like every other tier it is repaired from the fault-free
+//!   row (below), so a miss costs `O(vol(affected))` plus an `O(n)` copy,
+//!   not an `O(n + m)` sweep.
 //!
 //! A query whose fault set contains the target vertex or the source itself
 //! reports the vertex disconnected (`Ok(None)`), matching brute-force BFS
@@ -83,14 +85,16 @@
 //!   an `O(|F|)` check against preprocessed Euler-tour subtree intervals)
 //!   is answered straight from the fault-free row: no search, no row, no
 //!   LRU traffic. Counted in [`TierCounters::unaffected_fast_path`].
-//! * **Repair instead of re-sweep** — a cache miss on the `sparse_h_bfs` /
-//!   `augmented_bfs` tiers does not re-sweep the whole serving CSR: the row
-//!   starts as a copy of the tier's fault-free rows, the affected subtrees
-//!   (`O(1)` preorder intervals) are reset and re-swept by a bounded BFS
-//!   seeded from their unaffected boundary at fault-free depths, and
-//!   canonical parents are patched where distances or adjacency changed.
-//!   Cost is `O(n)` memcpy plus `O(vol(affected))` instead of a full
-//!   `O(n + |CSR|)` traversal; counted in [`QueryStats::repaired_rows`].
+//! * **Repair instead of re-sweep** — a cache miss on any tier does not
+//!   re-sweep the tier's adjacency (`H ∖ {e}`, `H⁺ ∖ F` or `G ∖ F`): the
+//!   row starts as a copy of the fault-free distances and the tier's
+//!   canonical fault-free parents, the affected subtrees (`O(|F|)` preorder
+//!   intervals) are re-swept by a bounded BFS seeded from their unaffected
+//!   boundary at fault-free depths, and canonical parents are patched where
+//!   distances or adjacency changed (the region, its boundary, and both
+//!   endpoints of every failed edge). Cost is `O(n)` memcpy plus
+//!   `O(vol(affected))` instead of a full `O(n + |CSR|)` traversal; counted
+//!   in [`QueryStats::repaired_rows`].
 //! * **One-to-many batching** — `dist_many_after_faults` answers a whole
 //!   target set against one fault set in one pass: targets are sorted by
 //!   Euler-tour preorder number and binary-searched against the merged
@@ -100,6 +104,10 @@
 //!   land inside the affected subtrees a *target-restricted* repair sweep
 //!   stops as soon as every requested affected target is settled
 //!   ([`QueryStats::restricted_repairs`]) instead of repairing the row.
+//!
+//! Row repair and the restricted sweep are one kernel — the same bounded
+//! BFS over the same per-tier adjacency, differing only in when it may
+//! stop (the whole region settled, or every requested target settled).
 //!
 //! Parent entries everywhere are **canonical** — the first neighbor one
 //! level closer in (filtered) adjacency order, a pure function of the final
@@ -131,6 +139,7 @@ mod core;
 mod facade;
 mod multi;
 mod obs;
+mod repair;
 mod snapshot;
 #[cfg(test)]
 mod tests;
@@ -152,7 +161,7 @@ pub(crate) enum Tier {
     SparseH,
     /// Covered by the build's augmentation: BFS over `H⁺ ∖ F`.
     Augmented,
-    /// Everything else: exact recomputed BFS over `G ∖ F`.
+    /// Everything else: the exact row over `G ∖ F`.
     FullGraph,
 }
 
@@ -197,8 +206,9 @@ pub struct TierCounters {
     /// (vertex faults, dual failures and reinforced-edge hypotheticals
     /// within the build's [`AugmentCoverage`](crate::ftbfs::AugmentCoverage)).
     pub augmented_bfs: usize,
-    /// Answered from a recomputed full-graph BFS row over `G ∖ F` (the
-    /// exact fallback for everything outside the sparse guarantees).
+    /// Answered from a full-graph row over `G ∖ F` (the exact fallback for
+    /// everything outside the sparse guarantees), repaired like the other
+    /// tiers' rows.
     pub full_graph_bfs: usize,
 }
 
@@ -244,16 +254,18 @@ pub struct QueryStats {
     pub structure_bfs_runs: usize,
     /// BFS sweeps over the compact augmented CSR of `H⁺`.
     pub augmented_bfs_runs: usize,
-    /// BFS sweeps over the full graph (the exact fallback).
+    /// Searches over the full graph (the exact fallback): row repairs,
+    /// restricted sweeps, or full sweeps when repair is off.
     pub full_graph_bfs_runs: usize,
     /// Queries answered from an already-computed row (the fault-free row,
     /// the unaffected fast path, or an LRU hit).
     pub cached_answers: usize,
     /// Cache-miss rows produced by the *incremental repair* path (fault-free
-    /// copy + bounded BFS over the affected subtrees) instead of a full CSR
+    /// copy + bounded BFS over the affected subtrees) instead of a full
     /// sweep. Each repaired row is also counted in the sweep counter of its
-    /// tier (`structure_bfs_runs` / `augmented_bfs_runs`), so
-    /// `repaired_rows` tells how many of those searches were bounded.
+    /// tier (`structure_bfs_runs` / `augmented_bfs_runs` /
+    /// `full_graph_bfs_runs`), so `repaired_rows` tells how many of those
+    /// searches were bounded.
     pub repaired_rows: usize,
     /// One-to-many cache misses answered by a *target-restricted* repair
     /// sweep: the bounded boundary-seeded BFS stopped as soon as every

@@ -58,7 +58,7 @@ pub struct EngineObs {
     pub tier_sparse_h_bfs: Arc<Histogram>,
     /// `tier="augmented_bfs"` — rows over `H⁺ ∖ F`.
     pub tier_augmented_bfs: Arc<Histogram>,
-    /// `tier="full_graph_bfs"` — recomputed rows over `G ∖ F`.
+    /// `tier="full_graph_bfs"` — rows over `G ∖ F`.
     pub tier_full_graph_bfs: Arc<Histogram>,
 
     /// `stage="classify"` — the one-to-many interval classification.
@@ -70,7 +70,8 @@ pub struct EngineObs {
     pub stage_restricted_sweep: Arc<Histogram>,
     /// `stage="row_repair"` — incremental row repairs on cache misses.
     pub stage_row_repair: Arc<Histogram>,
-    /// `stage="full_sweep"` — full CSR / full-graph sweeps on cache misses.
+    /// `stage="full_sweep"` — full sweeps on cache misses (only under
+    /// `force_full_sweep`).
     pub stage_full_sweep: Arc<Histogram>,
 }
 

@@ -2,12 +2,10 @@
 //!
 //! Every entry point of the redesigned API ([`crate::StructureBuilder`],
 //! [`crate::FaultQueryEngine`], the `try_*` construction functions) reports
-//! invalid input through [`FtbfsError`] instead of panicking. The legacy free
-//! functions (`build_ft_bfs` & friends) remain available as deprecated shims
-//! that unwrap these errors into panics. Validation is stricter than in 0.1:
-//! inputs the old code silently tolerated (e.g. `eps` outside `[0, 1]`,
-//! which the baseline branch happened to accept) now panic through the
-//! shims — migrate to the builders to handle them as values.
+//! invalid input through [`FtbfsError`] instead of panicking. Validation is
+//! stricter than in 0.1: inputs the old code silently tolerated (e.g. `eps`
+//! outside `[0, 1]`, which the baseline branch happened to accept) are
+//! rejected as values.
 
 use ftb_graph::{EdgeId, Fault, VertexId};
 use std::fmt;

@@ -72,14 +72,12 @@
 //! assert!(d.is_some(), "one hypercube failure never disconnects");
 //! ```
 //!
-//! # Legacy free functions
+//! # Free functions
 //!
-//! The original entry points (`build_ft_bfs`, `build_ft_bfs_with_eps`,
-//! `build_baseline_ftbfs`, `build_reinforced_tree`, `build_ft_mbfs`) remain
-//! available as deprecated shims that panic on invalid input; migrate to the
-//! builders or the `try_*` functions ([`try_build_ft_bfs`],
-//! [`try_build_baseline_ftbfs`], [`try_build_reinforced_tree`],
-//! [`try_build_ft_mbfs`]).
+//! Besides the builders, the checked `try_*` functions
+//! ([`try_build_ft_bfs`], [`try_build_baseline_ftbfs`],
+//! [`try_build_reinforced_tree`], [`try_build_ft_mbfs`]) build structures
+//! directly and report invalid input as [`FtbfsError`].
 //!
 //! The remaining entry points are [`verify::verify_structure`]
 //! (definition-level validation) and [`cost::CostModel`] (the `B/R` price
@@ -105,10 +103,6 @@ pub mod structure;
 pub mod verify;
 
 pub use algorithm::try_build_ft_bfs;
-#[allow(deprecated)]
-pub use algorithm::{build_ft_bfs, build_ft_bfs_with_eps};
-#[allow(deprecated)]
-pub use baseline::{build_baseline_ftbfs, build_reinforced_tree};
 pub use baseline::{try_build_baseline_ftbfs, try_build_reinforced_tree};
 pub use builder::{
     build_augmented_structure, build_structure, BaselineBuilder, BuildPlan, MultiSourceBuilder,
@@ -122,8 +116,6 @@ pub use engine::{
 };
 pub use error::FtbfsError;
 pub use ftbfs::{AugmentCoverage, AugmentStats, AugmentedStructure, FtBfsAugmenter};
-#[allow(deprecated)]
-pub use mbfs::build_ft_mbfs;
 pub use mbfs::{try_build_ft_mbfs, MultiSourceStructure};
 pub use stats::BuildStats;
 pub use structure::FtBfsStructure;

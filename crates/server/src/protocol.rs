@@ -313,6 +313,10 @@ pub enum ErrorCode {
     /// on it. Distinct from [`ErrorCode::Internal`] (something broke) and
     /// from [`Response::Overloaded`] (the queue refused admission).
     DeadlineExceeded = 9,
+    /// The worst-case reply to a `DistMany`/`BatchDist` request would not
+    /// fit in [`MAX_FRAME_LEN`]; refused at admission, before any search.
+    /// Split the request.
+    ResponseTooLarge = 10,
 }
 
 impl ErrorCode {
@@ -328,6 +332,7 @@ impl ErrorCode {
             7 => ErrorCode::ProtocolViolation,
             8 => ErrorCode::Internal,
             9 => ErrorCode::DeadlineExceeded,
+            10 => ErrorCode::ResponseTooLarge,
             _ => return None,
         })
     }
@@ -905,13 +910,37 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
 // Frame I/O
 // ---------------------------------------------------------------------------
 
+/// Worst-case encoded length of the reply to `request`, for the requests
+/// whose reply grows with a peer-chosen count: `DistMany` and `BatchDist`
+/// answer with a 5-byte header (opcode + count) plus up to 5 bytes per
+/// answer (`opt_u32`). `None` for every other request.
+pub(crate) fn worst_case_reply_len(request: &Request) -> Option<usize> {
+    const HEADER: usize = 5;
+    const ANSWER: usize = 5;
+    let answers = match request {
+        Request::DistMany { targets, .. } => targets.len(),
+        Request::BatchDist { queries, .. } => queries.len(),
+        Request::Deadline { inner, .. } => return worst_case_reply_len(inner),
+        _ => return None,
+    };
+    Some(HEADER + ANSWER * answers)
+}
+
 /// Write one frame (length prefix + payload) to `w`.
 ///
-/// # Panics
-/// Panics if `payload` exceeds [`MAX_FRAME_LEN`] — a server-side encoding
-/// bug, not a peer-controlled condition.
+/// A payload beyond [`MAX_FRAME_LEN`] is refused with an
+/// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error before any
+/// byte is written: the peer would reject the frame anyway.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    assert!(payload.len() <= MAX_FRAME_LEN, "oversized outgoing frame");
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "outgoing frame of {} bytes exceeds the {MAX_FRAME_LEN} cap",
+                payload.len()
+            ),
+        ));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
@@ -1222,6 +1251,32 @@ mod tests {
         let huge = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
         let mut cursor = std::io::Cursor::new(&huge[..]);
         assert!(read_frame(&mut cursor).is_err(), "oversized length prefix");
+
+        let mut wire = Vec::new();
+        let err = write_frame(&mut wire, &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(wire.is_empty(), "nothing written for an oversized frame");
+    }
+
+    #[test]
+    fn worst_case_reply_len_counts_five_bytes_per_answer() {
+        let many = Request::DistMany {
+            source: VertexId(0),
+            targets: vec![VertexId(1); 3],
+            faults: FaultSet::new(),
+        };
+        let ds = Response::DistMany(vec![Some(1), Some(u32::MAX - 1), Some(7)]);
+        assert_eq!(
+            worst_case_reply_len(&many),
+            Some(encode_response(&ds).len())
+        );
+        let wrapped = Request::Deadline {
+            budget_ms: 5,
+            inner: Box::new(many),
+        };
+        assert_eq!(worst_case_reply_len(&wrapped), Some(20));
+        let stats = Request::Stats;
+        assert_eq!(worst_case_reply_len(&stats), None);
     }
 
     #[test]

@@ -124,7 +124,8 @@ pub(crate) fn failure_is_retryable(outcome: &Attempt) -> bool {
                 | ErrorCode::FaultSetTooLarge
                 | ErrorCode::SourceNotServed
                 | ErrorCode::MalformedFrame
-                | ErrorCode::ProtocolViolation,
+                | ErrorCode::ProtocolViolation
+                | ErrorCode::ResponseTooLarge,
             ) => false,
             // A code this client does not know: assume deterministic.
             None => false,
@@ -259,6 +260,7 @@ mod tests {
             ErrorCode::FaultSetTooLarge,
             ErrorCode::InvalidFault,
             ErrorCode::ProtocolViolation,
+            ErrorCode::ResponseTooLarge,
         ];
         for code in no_retry {
             assert!(!failure_is_retryable(&Attempt::ServerError(Some(code))));

@@ -26,8 +26,9 @@
 
 use crate::metrics::{ServerMetrics, DEFAULT_SLOW_LOG_CAPACITY};
 use crate::protocol::{
-    decode_request, encode_response, write_frame, DecodeError, ErrorCode, MetricsFormat, Request,
-    Response, SlowQueryReport, StatsReport, WirePath, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    decode_request, encode_response, worst_case_reply_len, write_frame, DecodeError, ErrorCode,
+    MetricsFormat, Request, Response, SlowQueryReport, StatsReport, WirePath, MAX_FRAME_LEN,
+    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use ftb_chaos::{Chaos, IoFault, WorkerFault};
@@ -796,7 +797,7 @@ fn read_frame_idle(stream: &mut TcpStream, shared: &Shared) -> io::Result<FrameR
         FillOutcome::Closed(reason) => return Ok(FrameRead::Closed(reason)),
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > crate::protocol::MAX_FRAME_LEN {
+    if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             DecodeError::FrameTooLarge { len }.to_string(),
@@ -999,15 +1000,19 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) 
                         }
                         bare => (bare, None),
                     };
-                    match submit(shared, jobs, work, client_budget) {
-                        Submitted::Answered(JobDone {
-                            request,
-                            response,
-                            queue_nanos,
-                            handle_nanos,
-                            tiers,
-                        }) => (response, Some((request, queue_nanos, handle_nanos, tiers))),
-                        Submitted::Refused(resp) => (resp, None),
+                    if let Some(refusal) = refuse_oversized_reply(&work) {
+                        (refusal, None)
+                    } else {
+                        match submit(shared, jobs, work, client_budget) {
+                            Submitted::Answered(JobDone {
+                                request,
+                                response,
+                                queue_nanos,
+                                handle_nanos,
+                                tiers,
+                            }) => (response, Some((request, queue_nanos, handle_nanos, tiers))),
+                            Submitted::Refused(resp) => (resp, None),
+                        }
                     }
                 }
             }
@@ -1040,6 +1045,21 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) 
             return Ok(());
         }
     }
+}
+
+/// Refuse, before it is queued, a request whose worst-case reply could
+/// not be framed: the peer chooses the answer count, so an unchecked
+/// `DistMany` could make the reply outgrow [`MAX_FRAME_LEN`] after the
+/// search already ran.
+fn refuse_oversized_reply(request: &Request) -> Option<Response> {
+    let len = worst_case_reply_len(request)?;
+    (len > MAX_FRAME_LEN).then(|| Response::Error {
+        code: ErrorCode::ResponseTooLarge as u16,
+        message: format!(
+            "worst-case reply of {len} bytes exceeds the {MAX_FRAME_LEN}-byte frame cap; \
+             split the request"
+        ),
+    })
 }
 
 /// What admission control produced: a worker's finished job (with stage

@@ -8,6 +8,7 @@ use ftb_core::EngineOptions;
 use ftb_graph::{FaultSet, VertexId};
 use ftb_server::protocol::{
     decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
+    MAX_FRAME_LEN,
 };
 use ftb_server::{
     wait_until_ready, wait_until_stopped_with, Client, EngineSpec, RetryPolicy, RetryStats,
@@ -208,6 +209,53 @@ fn deadline_expired_in_queue_is_shed_without_running_a_bfs() {
         "tier counters untouched"
     );
     assert_eq!(server.metrics().deadline_exceeded_total.get(), 10);
+
+    client.shutdown().expect("graceful shutdown");
+    server.join().expect("clean join");
+}
+
+#[test]
+fn oversized_reply_is_refused_before_any_search_and_the_session_survives() {
+    // 240k duplicate targets encode a ~960 KB request that fits a frame,
+    // but the worst-case reply (5 bytes per answer) would be ~1.2 MB.
+    let spec = EngineSpec {
+        n: 80,
+        seed: 23,
+        ..EngineSpec::default()
+    };
+    let graph = spec.graph();
+    let core = spec
+        .build_core(&graph, EngineOptions::new().serial())
+        .expect("spec builds");
+    let server = Server::bind("127.0.0.1:0", core, ServeOptions::default()).expect("bind");
+    assert!(wait_until_ready(
+        server.local_addr(),
+        Duration::from_secs(5)
+    ));
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let request = Request::DistMany {
+        source: spec.source(),
+        targets: vec![VertexId::new(5); 240_000],
+        faults: FaultSet::new(),
+    };
+    let request_bytes = encode_request(&request).len();
+    assert!((900_000..=MAX_FRAME_LEN).contains(&request_bytes));
+    match client.request(&request).expect("io survives") {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::ResponseTooLarge as u16);
+            assert!(message.contains("frame cap"), "got {message:?}");
+        }
+        other => panic!("expected ResponseTooLarge, got {other:?}"),
+    }
+    assert_eq!(server.stats().queries, 0, "refused before any search");
+
+    // Same session: an ordinary query is answered.
+    match client.request(&dist_request(&spec)).expect("io survives") {
+        Response::Dist(d) => assert!(d.is_some(), "connected graph, no faults"),
+        other => panic!("expected a distance, got {other:?}"),
+    }
+    assert_eq!(server.stats().queries, 1);
 
     client.shutdown().expect("graceful shutdown");
     server.join().expect("clean join");

@@ -74,8 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "(vertex faults sit outside the paper's single-edge guarantee, so the\n\
-         engine answers them with exact recomputed rows — one full-graph BFS\n\
-         per distinct fault set, then served from the LRU.)"
+         engine answers them with exact rows over G ∖ F — one bounded repair\n\
+         of the affected subtrees per distinct fault set, then served from\n\
+         the LRU.)"
     );
     Ok(())
 }

@@ -69,9 +69,10 @@
 //!
 //! # Migrating from the 0.1 free functions
 //!
-//! The original free functions remain available but are deprecated:
+//! The 0.1 free functions, which panicked on invalid input, are gone. Each
+//! has a builder that reports invalid input as an [`FtbfsError`] value:
 //!
-//! | deprecated                | replacement                                      |
+//! | 0.1 function              | replacement                                      |
 //! |---------------------------|--------------------------------------------------|
 //! | `build_ft_bfs`            | [`TradeoffBuilder`] / [`core::try_build_ft_bfs`] |
 //! | `build_ft_bfs_with_eps`   | [`TradeoffBuilder::new`]                         |
@@ -79,20 +80,22 @@
 //! | `build_reinforced_tree`   | [`ReinforcedTreeBuilder`]                        |
 //! | `build_ft_mbfs`           | [`MultiSourceBuilder`]                           |
 //!
-//! The shims call the checked `try_*` functions and turn every error into a
-//! panic. Note that validation is stricter than in 0.1: inputs the old code
-//! silently tolerated (e.g. `eps = 2.0`, which ran the baseline branch) now
-//! panic through the shims — migrate to the builders to handle them as
-//! [`FtbfsError`] values instead:
+//! Validation is stricter than in 0.1: inputs the old code silently
+//! tolerated (e.g. `eps = 2.0`, which ran the baseline branch) are
+//! rejected:
 //!
 //! ```
-//! use ftbfs::{build_ft_bfs, BuildConfig};
 //! use ftbfs::graph::{generators, VertexId};
+//! use ftbfs::{FtbfsError, Sources, StructureBuilder, TradeoffBuilder};
 //!
 //! let g = generators::hypercube(4);
-//! #[allow(deprecated)]
-//! let structure = build_ft_bfs(&g, VertexId(0), &BuildConfig::new(0.3));
+//! let source = Sources::single(VertexId(0));
+//! let structure = TradeoffBuilder::new(0.3)
+//!     .build(&g, &source)
+//!     .expect("valid input");
 //! assert!(structure.num_backup() + structure.num_reinforced() == structure.num_edges());
+//! let bad = TradeoffBuilder::new(2.0).build(&g, &source);
+//! assert!(matches!(bad, Err(FtbfsError::InvalidEps { .. })));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -124,8 +127,3 @@ pub use ftb_core::{
 };
 
 pub use ftb_core::{SnapshotError, SnapshotStore, SNAPSHOT_FORMAT_VERSION};
-
-#[allow(deprecated)]
-pub use ftb_core::{
-    build_baseline_ftbfs, build_ft_bfs, build_ft_bfs_with_eps, build_ft_mbfs, build_reinforced_tree,
-};

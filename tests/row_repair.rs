@@ -1,7 +1,8 @@
 //! The incremental row-repair suite: repaired post-failure rows must be
 //! **byte-identical** to the rows a full CSR sweep produces, across every
 //! workload family, every fault-scenario family, every serving tier
-//! (`sparse_h_bfs`, `augmented_bfs`) and multi-source cores.
+//! (`sparse_h_bfs`, `augmented_bfs`, `full_graph_bfs`) and multi-source
+//! cores.
 //!
 //! "Byte-identical" is asserted through the public API: equal distances for
 //! every vertex *and* equal extracted paths — a path's final edge is the
@@ -133,6 +134,70 @@ fn augmented_tier_repairs_are_byte_identical() {
             stats.augmented_bfs_runs > 0,
             "{name}: the augmented tier never served"
         );
+    }
+}
+
+/// Full-graph tier: on plain (non-augmented) builds, every |F| ≤ 2 fault
+/// set outside the sparse-H guarantee — dual vertex faults, a vertex plus an
+/// edge, two tree edges, a reinforced edge — is served over `G ∖ F`, and
+/// every such miss repairs to exactly the full sweep's row.
+#[test]
+fn full_graph_tier_repairs_are_byte_identical_on_every_workload_family() {
+    for (name, graph) in small_workloads(20) {
+        let structure = TradeoffBuilder::new(0.3)
+            .with_config(|c| c.with_seed(SEED).serial())
+            .build(&graph, &Sources::single(VertexId(0)))
+            .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
+        let mut repaired =
+            FaultQueryEngine::with_options(&graph, structure.clone(), repaired_options())
+                .expect("matching graph");
+        let mut full = FaultQueryEngine::with_options(
+            &graph,
+            structure.clone(),
+            EngineOptions::new().serial().with_force_full_sweep(true),
+        )
+        .expect("matching graph");
+        let core = std::sync::Arc::clone(repaired.core());
+        let tree_edge = |f: &Fault| {
+            f.as_edge().is_some_and(|e| {
+                core.affected_vertex_count(VertexId(0), &FaultSet::from(e))
+                    .expect("valid fault")
+                    > 0
+            })
+        };
+        // Fault classes served by repair over G: [dual vertex, vertex +
+        // edge, two tree edges, reinforced edge].
+        let mut served = [0usize; 4];
+        for faults in enumerate_fault_sets(&graph, 2) {
+            let before = repaired.query_stats();
+            assert_rows_identical(&name, &graph, &mut repaired, &mut full, &faults);
+            let delta = repaired.query_stats().delta_since(&before);
+            assert_eq!(
+                delta.repaired_rows,
+                delta.structure_bfs_runs + delta.full_graph_bfs_runs,
+                "{name}: a miss under {faults} ran a full sweep"
+            );
+            if delta.full_graph_bfs_runs == 0 {
+                continue;
+            }
+            let f = faults.as_slice();
+            let vertices = faults.vertices().count();
+            served[0] += usize::from(vertices == 2);
+            served[1] += usize::from(vertices == 1 && f.len() == 2);
+            served[2] += usize::from(f.len() == 2 && f.iter().all(tree_edge));
+            served[3] += usize::from(faults.edges().any(|e| structure.is_reinforced(e)));
+        }
+        let stats = repaired.query_stats();
+        assert!(stats.full_graph_bfs_runs > 0, "{name}: G was never served");
+        assert!(stats.repaired_rows > 0, "{name}: the repair path never ran");
+        assert_eq!(full.query_stats().repaired_rows, 0, "{name}");
+        assert!(
+            served[..3].iter().all(|&c| c > 0),
+            "{name}: a fault class never reached the full-graph tier: {served:?}"
+        );
+        if structure.num_reinforced() > 0 {
+            assert!(served[3] > 0, "{name}: no reinforced edge was served");
+        }
     }
 }
 
